@@ -26,6 +26,13 @@ An in-test floor guards local runs too: ``REPRO_WALLCLOCK_FLOOR``
 wall-clock is fuzzy, the floor only has to catch "fast path silently fell
 back to the reference loop".
 
+``test_permute_scaling`` gates how the fast path's wall time grows with
+N: ``em_permute`` on the seq engine at N=2^18, 2^19 and 2^20 (2^19 is the
+first size whose message matrix reaches track 2^20), with the one-sided
+bound ``t(2N) / t(N) <= 3``.  The simulated parallel I/Os grow linearly,
+so the simulator's own time must too — a storage path that degrades past
+some track index shows up here as a ratio of ~10.
+
 The timings double as the telemetry bus's disabled-path perf smoke: the
 bench pins ``REPRO_TRACE`` off and asserts the engines run on the
 zero-cost ``NULL_RECORDER``, so the ``--timing-floor`` gate in CI also
@@ -42,7 +49,7 @@ import numpy as np
 import pytest
 
 from repro.cgm.config import MachineConfig
-from repro.em.runner import em_sort, make_engine
+from repro.em.runner import em_permute, em_sort, make_engine
 from repro.obs.bench_store import measured_from_report
 from repro.pdm import fastpath
 from repro.util.rng import make_rng
@@ -66,6 +73,11 @@ CONFIGS = {
 }
 
 
+#: em_permute sizes of the scaling gate, and its bound on t(2N) / t(N)
+SCALING_NS = (1 << 18, 1 << 19, 1 << 20)
+SCALING_BOUND = 3.0
+
+
 def _floor() -> float:
     try:
         return float(os.environ.get("REPRO_WALLCLOCK_FLOOR", "1.5"))
@@ -73,19 +85,25 @@ def _floor() -> float:
         return 1.5
 
 
+def _best_of(run):
+    """Best-of-REPS wall time of ``run()`` after a warmup call (allocator,
+    caches), and the last result."""
+    run()
+    best = float("inf")
+    res = None
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        res = run()
+        best = min(best, time.perf_counter() - t0)
+    return best, res
+
+
 def _timed_run(data: np.ndarray, cfg: MachineConfig, engine: str, enabled: bool):
     """Best-of-REPS wall time and the last result, with the path pinned."""
     was = fastpath.enabled()
     fastpath.set_enabled(enabled)
     try:
-        em_sort(data, cfg, engine=engine)  # warmup (allocator, caches)
-        best = float("inf")
-        res = None
-        for _ in range(REPS):
-            t0 = time.perf_counter()
-            res = em_sort(data, cfg, engine=engine)
-            best = min(best, time.perf_counter() - t0)
-        return best, res
+        return _best_of(lambda: em_sort(data, cfg, engine=engine))
     finally:
         fastpath.set_enabled(was)
 
@@ -135,3 +153,38 @@ def test_wallclock_speedup(name, bench_store):
         f"{name}: fast path only {speedup:.2f}x over reference "
         f"(floor {floor}) — did it fall back to the per-block loop?"
     )
+
+
+def test_permute_scaling(bench_store):
+    times = []
+    for n in SCALING_NS:
+        rng = make_rng(0)
+        values = rng.integers(0, 2**50, n)
+        dest = rng.permutation(n)
+        cfg = MachineConfig(N=n, v=V, D=D, B=B)
+        best, res = _best_of(lambda: em_permute(values, dest, cfg, engine="seq"))
+        expected = np.empty_like(values)
+        expected[dest] = values
+        assert np.array_equal(res.values, expected)
+        times.append(best)
+        bench_store.record(
+            f"permute_scale_2^{n.bit_length() - 1}",
+            cfg=cfg,
+            report=res.report,
+            extra={"fast_s": best, "engine": "seq", "reps": REPS},
+        )
+    ratios = [b / a for a, b in zip(times, times[1:])]
+    print_table(
+        f"wall-clock scaling: em_permute (seq, B={B}, bound t(2N)/t(N) <= "
+        f"{SCALING_BOUND})",
+        ["N", "best of {}".format(REPS), "t(N) / t(N/2)"],
+        [
+            [f"2^{n.bit_length() - 1}", f"{t * 1e3:.1f} ms", f"{r:.2f}" if r else ""]
+            for n, t, r in zip(SCALING_NS, times, [None, *ratios])
+        ],
+    )
+    for n, r in zip(SCALING_NS[1:], ratios):
+        assert r <= SCALING_BOUND, (
+            f"em_permute at N=2^{n.bit_length() - 1} took {r:.2f}x the time "
+            f"of N/2 (bound {SCALING_BOUND}) — a storage path falls off a cliff"
+        )

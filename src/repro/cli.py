@@ -129,8 +129,8 @@ def _add_machine_args(p: argparse.ArgumentParser, n_default: int = 1 << 16) -> N
         "--arena",
         choices=["ram", "mmap"],
         default=None,
-        help="track-arena storage backend: preallocated host memory (ram, "
-        "the default) or memory-mapped spill files for out-of-core runs "
+        help="track-arena storage backend: pages in host memory (ram, "
+        "the default) or in memory-mapped spill files for out-of-core runs "
         "(mmap); equivalent to setting REPRO_ARENA",
     )
     p.add_argument(

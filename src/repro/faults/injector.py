@@ -230,8 +230,7 @@ class FaultyDiskArray(DiskArray):
 
     def _use_fastpath_storage(self) -> bool:
         # fault injection resolves, retries and tears every track access
-        # individually, and remaps shadow tracks far outside any dense
-        # arena range — it always runs the per-op reference path
+        # individually — it always runs the per-op reference path
         return False
 
     # -- core operation ------------------------------------------------------

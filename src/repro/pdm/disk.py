@@ -12,13 +12,13 @@ class Disk:
     Storage has two modes with identical semantics:
 
     * **dict mode** (default) — tracks materialized lazily in a
-      ``dict[int, bytes]``, so a simulation can use a sparse track space
-      without preallocating.  This is the reference path and what a
+      ``dict[int, bytes]``.  This is the reference path and what a
       standalone ``Disk()`` always uses.
     * **arena mode** — when constructed by a fast-path
       :class:`~repro.pdm.disk_array.DiskArray`, reads and writes delegate
-      to the shared :class:`~repro.pdm.arena.TrackArena` so bulk
-      operations can bypass per-track Python entirely.
+      to the shared paged :class:`~repro.pdm.arena.TrackArena` so bulk
+      operations can bypass per-track Python entirely.  The arena is as
+      sparse as the dict: only pages that hold a written track exist.
 
     Per-disk read/write counters feed the load-balance assertions in the
     tests: the paper's layouts are only correct if every disk services the

@@ -23,7 +23,6 @@ Two execution paths service bulk streams:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -71,45 +70,51 @@ def greedy_batch_widths(disks: np.ndarray, D: int) -> tuple[int, np.ndarray]:
     repeats within it.  Returns ``(n_batches, widths)`` where ``widths[k]``
     is the number of ops in batch ``k`` (all ``<= D``).
 
-    The consecutive layout produces perfectly striped streams
-    (``disks[i] = (disks[0] + i) % D``); that common case collapses to
-    arithmetic.  General streams use the previous-occurrence trick: with
-    ``prev[i]`` the index of the prior op on the same disk (-1 if none), a
-    batch starting at ``b`` ends before the first ``i`` with
-    ``max(prev[b..i]) >= b`` — found by binary search over the running
-    maximum, which is sorted because ``prev[i] < i``.
+    The stream is walked as *striped runs* — maximal stretches with
+    ``disks[i] = (disks[i-1] + 1) % D``, which is what the consecutive
+    layout emits.  A batch that opens inside a run fills to exactly ``D``
+    ops before a disk repeats, so such a run is closed-form full batches
+    plus a remainder that stays open into the next run.  Only while the
+    open batch carries disks from earlier runs is the run stepped op by
+    op, and a repeat must come within ``D`` steps.
     """
     n = int(disks.size)
     if n == 0:
         return 0, np.zeros(0, dtype=np.int64)
     if D == 1:
         return n, np.ones(n, dtype=np.int64)
-    first = int(disks[0])
-    striped = (first + np.arange(n, dtype=np.int64)) % D
-    if np.array_equal(disks, striped):
-        nbatches = -(-n // D)
-        widths = np.full(nbatches, D, dtype=np.int64)
-        if n % D:
-            widths[-1] = n % D
-        return nbatches, widths
-    order = np.argsort(disks, kind="stable")
-    sorted_disks = disks[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    same = sorted_disks[1:] == sorted_disks[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    running_max = np.maximum.accumulate(prev).tolist()
-    # bisect on a plain list beats np.searchsorted per call by ~10x at the
-    # few-hundred-element sizes a stream produces
-    bounds = [0]
-    b = 0
-    while True:
-        nxt = bisect.bisect_left(running_max, b)
-        if nxt >= n:
-            break
-        bounds.append(nxt)
-        b = nxt
-    bounds.append(n)
-    return len(bounds) - 1, np.diff(np.asarray(bounds, dtype=np.int64))
+    cuts = (np.flatnonzero((disks[1:] - disks[:-1]) % D != 1) + 1).tolist()
+    starts = [0, *cuts]
+    firsts = disks[starts].tolist()
+    widths: list[int] = []  # run-length encoded: widths[k] repeated reps[k]
+    reps: list[int] = []
+    mask = width = begin = 0  # the open batch: disk bitmask, size, start
+    for s, e, first in zip(starts, [*cuts, n], firsts):
+        i = s
+        while begin < s and i < e:
+            bit = 1 << ((first + i - s) % D)
+            if mask & bit:
+                widths.append(width)
+                reps.append(1)
+                begin = i
+                break
+            mask |= bit
+            width += 1
+            i += 1
+        if begin >= s:
+            full, width = divmod(e - begin, D)
+            if full:
+                widths.append(D)
+                reps.append(full)
+            begin += full * D
+            mask = 0
+            for j in range(begin - s, e - s):
+                mask |= 1 << ((first + j) % D)
+    if width:
+        widths.append(width)
+        reps.append(1)
+    out = np.repeat(np.asarray(widths, dtype=np.int64), reps)
+    return int(out.size), out
 
 
 class DiskArray:
@@ -145,7 +150,11 @@ class DiskArray:
         self.stats = IOStats(D=D)
 
     def _record_arena_grow(self, disk: int, cap: int) -> None:
-        """Arena growth callback -> one ``arena_grow`` trace event."""
+        """Arena growth callback -> one ``arena_grow`` trace event.
+
+        The arena calls it when a write takes a disk's page count to a
+        new power of two, so a run emits O(log pages) events per disk;
+        *cap* is the allocated track capacity of that disk."""
         arena, tracer = self._arena, self._tracer
         if arena is None or tracer is None:
             return
@@ -165,8 +174,7 @@ class DiskArray:
 
         ``FaultyDiskArray`` overrides this to ``False``: fault injection
         resolves and retries every op individually, so it always runs the
-        reference path (and its shadow-track remaps live far outside any
-        arena's dense range).
+        reference path.
         """
         if self._runtime is not None:
             return self._runtime.fastpath_storage
@@ -315,8 +323,8 @@ class DiskArray:
 
         Returns a ``uint8`` array of ``n * block_bytes`` bytes (a view of
         *out* when given, so callers can pool the allocation).  Batching
-        and counters match :meth:`read_blocks` exactly; sparse or odd-sized
-        tracks fall back to the reference loop transparently.
+        and counters match :meth:`read_blocks` exactly; free, short or
+        oversized tracks fall back to the reference loop transparently.
         """
         disks = np.asarray(disks, dtype=np.int64)
         tracks = np.asarray(tracks, dtype=np.int64)
@@ -334,8 +342,8 @@ class DiskArray:
                 nops, widths = greedy_batch_widths(disks, self.D)
                 self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
                 return flat
-        # Reference fallback: per-track loop (dict mode, side-dict tracks,
-        # short rows, and the canonical unwritten-track error).
+        # Reference fallback: per-track loop (dict mode, oversized side-dict
+        # tracks, short rows, and the canonical unwritten-track error).
         blocks = self.read_blocks(list(zip(disks.tolist(), tracks.tolist())))
         pos = 0
         for block in blocks:
@@ -358,8 +366,8 @@ class DiskArray:
         those are mutated by :meth:`finish_read` on the consuming thread,
         which keeps IOStats single-threaded and bit-identical to the
         synchronous path.  Returns ``True`` only when every block was
-        copied out of the dense arena; any fallback condition (reference
-        mode, side-dict tracks, bad addresses, unwritten tracks) returns
+        copied out of the arena; any fallback condition (reference mode,
+        oversized side-dict tracks, bad addresses, unwritten tracks) returns
         ``False`` and leaves the work to :meth:`finish_read`.
         """
         if self._arena is None:

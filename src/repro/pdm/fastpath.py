@@ -6,7 +6,7 @@ The simulator has two executions of the *same* logical machine:
   loops over dict-backed tracks, kept as the executable specification and
   selected with ``REPRO_FASTPATH=0``;
 * the **fast path** — whole parallel-I/O streams serviced as single NumPy
-  gather/scatter operations over a preallocated per-disk track arena
+  gather/scatter operations over a paged per-disk track arena
   (:mod:`repro.pdm.arena`).
 
 Both must produce bit-identical outputs, ``IOStats`` and traces; the
@@ -17,8 +17,8 @@ this.  This module holds the pieces shared by both sides of the split:
   (default on).  ``set_enabled`` writes the environment variable too, so
   worker processes spawned after the call agree with the parent.
 * :func:`arena_kind` / :func:`set_arena_kind` — the ``REPRO_ARENA``
-  storage selector for the fast path's track arena: ``ram`` (default,
-  preallocated NumPy) or ``mmap`` (file-backed
+  storage selector for the fast path's paged track arena: ``ram``
+  (default, in-memory NumPy pages) or ``mmap`` (file-backed
   :class:`~repro.pdm.mmap_arena.MmapTrackArena` for out-of-core runs).
 * :func:`prefetch_enabled` — the ``REPRO_PREFETCH`` switch (default on)
   for the double-buffered context prefetch pipeline
@@ -67,9 +67,9 @@ def set_enabled(flag: bool) -> None:
 def arena_kind() -> str:
     """The arena storage backend selected by ``REPRO_ARENA``.
 
-    ``ram`` (the default) keeps each disk's track matrix as a
-    preallocated in-memory NumPy array; ``mmap`` backs it with per-disk
-    ``numpy.memmap`` files under a run-scoped spill directory, so the
+    ``ram`` (the default) keeps each disk's track pages as in-memory
+    NumPy arrays; ``mmap`` places them in per-disk ``numpy.memmap``
+    spill files under a run-scoped spill directory, so the
     simulated problem size is bounded by disk, not host memory.  An
     unknown value fails loudly (named :class:`~repro.tune.knobs.KnobError`)
     rather than silently running in the wrong mode.

@@ -1,13 +1,15 @@
 """Memory-mapped track storage: the out-of-core arena backend.
 
 :class:`MmapTrackArena` keeps the exact :class:`~repro.pdm.arena.TrackArena`
-contract — batch scatter/gather, side-dict fallbacks, dict-portable
-``snapshot``/``restore`` — but backs each disk's track matrix with a
-``numpy.memmap`` over a spill file instead of a preallocated in-memory
-array.  Simulated problem size is then bounded by disk capacity, not host
-memory: the OS pages track data in and out on demand, and the arena's own
-resident footprint is the per-track bookkeeping (occupancy mask + byte
-lengths, ~9 bytes/track) plus whatever the page cache chooses to keep.
+contract — sparse page map, batch scatter/gather, dict-portable
+``snapshot``/``restore`` — but places each disk's pages in a spill file
+instead of in-memory arrays: page slot ``k`` of a disk is a
+``numpy.memmap`` over bytes ``[k * page_bytes, (k + 1) * page_bytes)`` of
+its file, slots handed out in first-touch order.  Simulated problem size
+is then bounded by disk capacity, not host memory: the OS pages track
+data in and out on demand, and the arena's own resident footprint is the
+per-row byte lengths of the touched pages (4 bytes/track) plus whatever
+the page cache chooses to keep.
 
 Spill-directory lifecycle:
 
@@ -16,13 +18,13 @@ Spill-directory lifecycle:
   the system temp dir), holding one ``disk<d>.bin`` file per simulated
   disk — worker processes of the multi-core backend each build their own
   arenas, so directories never collide across processes;
-* growth is by doubling, implemented as ``ftruncate`` + remap — the
-  extension is a sparse hole, so untouched tracks cost no physical disk
-  and read back as zeros, exactly matching the RAM arena's ``np.zeros``
-  rows;
+* a new page extends its file by one slot with ``ftruncate`` — the
+  extension is a sparse hole, so untouched rows cost no physical disk and
+  read back as zeros, exactly matching the RAM arena's ``np.zeros`` pages,
+  and existing slots are never moved or remapped;
 * ``$REPRO_SPILL_QUOTA`` (bytes, optional) bounds the total mapped size
-  per arena; growth past it raises :class:`SimulationError` instead of
-  filling the volume;
+  per arena, checked per page; a page past it raises
+  :class:`SimulationError` instead of filling the volume;
 * :meth:`close` unmaps and deletes the directory; a ``weakref.finalize``
   does the same at garbage collection, so abandoned arenas (a killed run)
   cannot leak spill files past interpreter exit.
@@ -43,7 +45,7 @@ from typing import IO
 
 import numpy as np
 
-from repro.pdm.arena import TrackArena
+from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.validation import SimulationError
 
@@ -68,7 +70,7 @@ def spill_quota() -> int | None:
 
 
 class MmapTrackArena(TrackArena):
-    """Track arena whose per-disk matrices live in spill files."""
+    """Track arena whose pages live in per-disk spill files."""
 
     __slots__ = ("spill_dir", "_files", "_quota", "_finalizer", "__weakref__")
 
@@ -95,43 +97,40 @@ class MmapTrackArena(TrackArena):
             self, _cleanup, self._files, self.spill_dir
         )
 
-    # -- growth ------------------------------------------------------------
+    # -- page allocation ---------------------------------------------------
 
-    def _grow_data(self, disk: int, cap: int, have: int) -> None:
+    def _alloc_page(self, disk: int) -> np.ndarray:
         if not self._files:
             raise SimulationError("mmap arena used after close()")
-        new_bytes = cap * self.block_bytes
+        pb = self.page_bytes
         if self._quota is not None:
-            total = sum(
-                int(a.shape[0]) * self.block_bytes
-                for d, a in enumerate(self._data)
-                if d != disk
-            )
-            if total + new_bytes > self._quota:
+            total = self.spill_nbytes()
+            if total + pb > self._quota:
                 raise SimulationError(
-                    f"spill quota exceeded: disk {disk} needs {new_bytes} "
-                    f"bytes, arena already holds {total}, "
+                    f"spill quota exceeded: disk {disk} needs a {pb}-byte "
+                    f"page, arena already holds {total}, "
                     f"REPRO_SPILL_QUOTA={self._quota}"
                 )
+        slot = len(self._pages[disk])
         f = self._files[disk]
-        f.truncate(new_bytes)
+        f.truncate((slot + 1) * pb)
         f.flush()
-        # remap over the grown file; the extension is a sparse zero hole,
-        # so old rows are preserved in place and new rows read as zeros.
-        # A gather still holding the previous (smaller) memmap keeps a
-        # valid view of the same file until it drops the reference.
-        self._data[disk] = np.memmap(
-            f, dtype=np.uint8, mode="r+", shape=(cap, self.block_bytes)
+        return np.memmap(
+            f,
+            dtype=np.uint8,
+            mode="r+",
+            offset=slot * pb,
+            shape=(PAGE_ROWS, self.block_bytes),
         )
 
     # -- inspection --------------------------------------------------------
 
     def resident_nbytes(self) -> int:
-        # the track matrices are file-backed: only bookkeeping is counted
+        # the pages are file-backed: only bookkeeping is counted
         return self._bookkeeping_nbytes()
 
     def spill_nbytes(self) -> int:
-        return sum(int(a.shape[0]) * self.block_bytes for a in self._data)
+        return sum(len(pages) for pages in self._pages) * self.page_bytes
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -140,11 +139,7 @@ class MmapTrackArena(TrackArena):
         if not self._files:
             return
         # drop the memmaps before deleting their backing files
-        self._data = [
-            np.zeros((0, self.block_bytes), dtype=np.uint8) for _ in range(self.D)
-        ]
-        self._used = [np.zeros(0, dtype=bool) for _ in range(self.D)]
-        self._nbytes = [np.zeros(0, dtype=np.int64) for _ in range(self.D)]
+        self._pages = [{} for _ in range(self.D)]
         files, self._files = self._files, []
         self._finalizer.detach()
         _cleanup(files, self.spill_dir)

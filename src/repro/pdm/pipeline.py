@@ -16,7 +16,7 @@ split that guarantees it:
 * the **worker thread** only performs *speculative, unaccounted* copies
   (:meth:`~repro.pdm.disk_array.DiskArray.try_gather`) — it never touches
   a counter, never raises, and degrades to a miss on anything unusual
-  (side-dict tracks, reference mode, bad addresses);
+  (free, short or oversized tracks, reference mode, bad addresses);
 * the **consuming thread** performs all accounting at :meth:`get` time via
   :meth:`~repro.pdm.disk_array.DiskArray.finish_read` — on a miss that is
   simply the synchronous ``read_run``, canonical errors included.  Since
@@ -26,10 +26,9 @@ split that guarantees it:
 Why the prefetched data cannot be stale: a pid's context tracks are only
 rewritten by that pid's own store, which happens strictly after its load
 consumes the prefetch; all other writes during a superstep (message slots,
-overflow runs, other pids' contexts) land on disjoint tracks, and an arena
-growth triggered by them preserves old rows in place (RAM copy / sparse
-file extension), so a concurrent gather sees either the correct bytes or
-a clean miss.
+overflow runs, other pids' contexts) land on disjoint tracks, and a page
+allocated by them never moves an existing page, so a concurrent gather
+sees either the correct bytes or a clean miss.
 
 Buffers come from the reader's private :class:`BufferPool`: only the
 worker thread takes, only :meth:`release` gives back, so a buffer handed

@@ -199,7 +199,7 @@ KNOBS: tuple[KnobSpec, ...] = (
     KnobSpec(
         "arena", "REPRO_ARENA", "ram|mmap", "ram", _parse_arena,
         "pdm.mmap_arena",
-        "track-arena storage: preallocated host memory or memory-mapped "
+        "track-arena storage: pages in host memory or in memory-mapped "
         "spill files for out-of-core runs",
         invalid_example="tape",
     ),

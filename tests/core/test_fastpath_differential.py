@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cgm.config import MachineConfig
-from repro.em.runner import em_sort, em_transpose
+from repro.em.runner import em_permute, em_sort, em_transpose
 from repro.obs.bench_store import measured_from_report
 from repro.obs.trace import JsonlRecorder
 from repro.pdm import fastpath
+from repro.pdm.disk_array import DiskArray
 
 FAULT_PLAN = str(
     Path(__file__).resolve().parents[2] / "benchmarks" / "fault_plans" / "ci_transient.json"
@@ -105,6 +106,39 @@ def test_transpose_identity_seq():
     (fast, t_fast), (ref, t_ref) = out
     _assert_identical(fast, ref, t_fast, t_ref)
     assert np.array_equal(fast.values, mat.T)
+
+
+def test_permute_past_2_19_stays_on_the_batched_path(monkeypatch):
+    """Regression for the far-track cliff: at N=2^19 the message matrix
+    reaches track 2^20, where the old arena diverted every far track to a
+    side dict and each read fell back to one ``parallel_io`` call per
+    batch.  The fast path must make no such call, and still match the
+    reference path exactly."""
+    n = 1 << 19
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2**50, n)
+    dest = rng.permutation(n)
+    cfg = MachineConfig(N=n, v=8, D=2, B=16)
+    calls = []
+    real_parallel_io = DiskArray.parallel_io
+
+    def counting(self, ops):
+        calls.append(len(ops))
+        return real_parallel_io(self, ops)
+
+    monkeypatch.setattr(DiskArray, "parallel_io", counting)
+    fastpath.set_enabled(True)
+    fast = em_permute(values, dest, cfg, engine="seq")
+    assert calls == []
+    fastpath.set_enabled(False)
+    ref = em_permute(values, dest, cfg, engine="seq")
+    assert calls, "the reference path runs through parallel_io"
+    expected = np.empty_like(values)
+    expected[dest] = values
+    assert np.array_equal(fast.values, expected)
+    assert np.array_equal(fast.values, ref.values)
+    assert fast.report.io.as_dict() == ref.report.io.as_dict()
+    assert fast.report.io_max.as_dict() == ref.report.io_max.as_dict()
 
 
 class TestProcessEngineIdentity:

@@ -4,11 +4,10 @@ One logical track store, three implementations.  The hypothesis suites
 drive the *same* randomized operation sequence through all three and
 assert that every observable — returned bytes, ``SimulationError`` parity
 on free-track reads, occupancy, snapshots, side-dict fallbacks for
-odd-sized and shadow-region tracks — is identical.  The boundary classes
-pin the exact ``MAX_DIRECT_TRACK`` edge, where a track one below must stay
-dense and a track at the constant must divert to the side dict (the
-scatter path historically skipped that check and allocated rows for the
-whole gap).
+oversized payloads, shadow-region tracks — is identical.  The boundary
+classes pin the page edge (``PAGE_ROWS - 1`` / ``PAGE_ROWS``), the fault
+injector's shadow tracks at ``(1 << 40) + 3``, last-wins duplicates in a
+scatter that spans pages, and that only touched pages cost memory.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
+from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.pdm.disk import Disk
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.util.validation import SimulationError
@@ -59,12 +58,13 @@ def _read_all(banks, disk: int, track: int):
 
 # ------------------------------------------------------------- op sequences
 
-# Track values exercise the dense range, the side-dict shadow region
-# (>= MAX_DIRECT_TRACK, as the fault injector's remaps use), and payload
-# sizes exercise full-stride, short (padded) and oversized (side dict).
+# Track values exercise the first page, the page edge, and the far shadow
+# region (as the fault injector's remaps use), and payload sizes exercise
+# full-stride, short (padded) and oversized (side dict).
+_FAR = (1 << 40) + 3
 _tracks = st.one_of(
     st.integers(min_value=0, max_value=24),
-    st.sampled_from([MAX_DIRECT_TRACK, MAX_DIRECT_TRACK + 5, (1 << 40) + 3]),
+    st.sampled_from([PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 5, _FAR]),
 )
 _payloads = st.binary(min_size=0, max_size=BB + 4)
 
@@ -174,25 +174,31 @@ def test_snapshots_port_across_all_backends(trio):
     """A snapshot taken on any backend restores into any other."""
     src_bank = trio[2]  # mmap
     src_bank[0].write(3, b"x" * BB)
-    src_bank[0].write(MAX_DIRECT_TRACK + 1, b"far")
+    src_bank[0].write(_FAR, b"far")
     src_bank[0].write(5, b"odd-size-payload")  # > BB: side dict
     snap = src_bank[0].snapshot_tracks()
     for dest_bank in trio[:2]:
         dest_bank[0].restore_tracks(snap)
         assert dest_bank[0].snapshot_tracks() == snap
-        assert dest_bank[0].read(MAX_DIRECT_TRACK + 1) == b"far"
+        assert dest_bank[0].read(_FAR) == b"far"
         assert dest_bank[0].read(5) == b"odd-size-payload"
 
 
-# --------------------------------------------- MAX_DIRECT_TRACK boundary
+# ------------------------------------------------------------ page boundary
+
+
+def _rows(payload: bytes) -> np.ndarray:
+    return np.frombuffer(payload, dtype=np.uint8).reshape(len(payload), 1)
+
+
+def _i64(*values: int) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
 
 
 class _Boundary:
-    """Shared boundary regressions, run against both arena backends.
+    """Page-edge regressions, run against both arena backends.
 
-    Uses ``block_bytes=1`` so dense growth to the real constant's edge
-    costs ~1 MiB, keeping the true-boundary coverage cheap enough for
-    tier-1.
+    Uses ``block_bytes=1`` so every page is ``PAGE_ROWS`` bytes.
     """
 
     def make(self) -> TrackArena:
@@ -204,45 +210,54 @@ class _Boundary:
     def test_put_one_below_stays_dense(self):
         a = self.make()
         try:
-            a.put(0, MAX_DIRECT_TRACK - 1, b"z")
-            assert a.get(0, MAX_DIRECT_TRACK - 1) == b"z"
-            assert not a._side[0], "track MAX-1 must not spill to the side dict"
-            assert a._data[0].shape[0] >= MAX_DIRECT_TRACK
+            a.put(0, PAGE_ROWS - 1, b"z")
+            assert a.get(0, PAGE_ROWS - 1) == b"z"
+            assert not a._side[0], "a block-sized put must not use the side dict"
+            assert list(a._pages[0]) == [0]
         finally:
             self.teardown_arena(a)
 
-    def test_put_at_boundary_goes_to_side_dict(self):
+    def test_put_at_boundary_opens_next_page(self):
         a = self.make()
         try:
-            a.put(0, MAX_DIRECT_TRACK, b"w")
-            assert a.get(0, MAX_DIRECT_TRACK) == b"w"
-            assert a._side[0] == {MAX_DIRECT_TRACK: b"w"}
-            assert a._data[0].shape[0] == 0, "boundary put must not grow rows"
+            a.put(0, PAGE_ROWS, b"w")
+            assert a.get(0, PAGE_ROWS) == b"w"
+            assert a.get(0, PAGE_ROWS - 1) is None
+            assert not a._side[0]
+            assert list(a._pages[0]) == [1], "page 0 was never touched"
+        finally:
+            self.teardown_arena(a)
+
+    def test_far_shadow_track_is_paged(self):
+        a = self.make()
+        try:
+            a.scatter(_i64(0, 0), _i64(3, _FAR), _rows(b"nf"))
+            assert a.get(0, _FAR) == b"f"
+            assert sorted(a._pages[0]) == [0, _FAR // PAGE_ROWS]
+            assert not a._side[0]
+            assert a.max_track(0) == _FAR
+            out = np.empty((2, 1), dtype=np.uint8)
+            assert a.gather(_i64(0, 0), _i64(_FAR, 3), out)
+            assert out.tobytes() == b"fn"
         finally:
             self.teardown_arena(a)
 
     def test_scatter_straddling_the_boundary(self):
-        """Regression: scatter used to ignore MAX_DIRECT_TRACK entirely,
-        growing dense rows for the whole gap and breaking the side-dict
-        invariant.  A straddling batch must split: below-dense, at/above-
-        side, with last-wins semantics preserved across the split."""
+        """A scatter that spans pages, out of page order and with duplicate
+        addresses on both sides of the edge, resolves last-wins exactly as
+        the sequential loop does."""
         a = self.make()
         try:
-            disks = np.zeros(3, dtype=np.int64)
-            tracks = np.asarray(
-                [MAX_DIRECT_TRACK - 1, MAX_DIRECT_TRACK, MAX_DIRECT_TRACK + 2],
-                dtype=np.int64,
-            )
-            rows = np.frombuffer(b"abc", dtype=np.uint8).reshape(3, 1)
-            a.scatter(disks, tracks, rows)
-            assert a.get(0, MAX_DIRECT_TRACK - 1) == b"a"
-            assert a.get(0, MAX_DIRECT_TRACK) == b"b"
-            assert a.get(0, MAX_DIRECT_TRACK + 2) == b"c"
-            assert set(a._side[0]) == {MAX_DIRECT_TRACK, MAX_DIRECT_TRACK + 2}
-            assert a._data[0].shape[0] <= MAX_DIRECT_TRACK
-            assert a.max_track(0) == MAX_DIRECT_TRACK + 2
+            tracks = _i64(PAGE_ROWS, PAGE_ROWS - 1, _FAR, PAGE_ROWS, PAGE_ROWS - 1)
+            a.scatter(np.zeros(5, dtype=np.int64), tracks, _rows(b"abcde"))
+            assert a.get(0, PAGE_ROWS - 1) == b"e"
+            assert a.get(0, PAGE_ROWS) == b"d"
+            assert a.get(0, _FAR) == b"c"
+            assert a.tracks_in_use(0) == 3
+            assert a.max_track(0) == _FAR
             # a dict round-trip carries all three across backends
             snap = a.snapshot(0)
+            assert snap == {PAGE_ROWS - 1: b"e", PAGE_ROWS: b"d", _FAR: b"c"}
             b = TrackArena(1, 1)
             b.restore(0, snap)
             assert b.snapshot(0) == snap
@@ -252,27 +267,37 @@ class _Boundary:
     def test_scatter_overwrites_boundary_side_entries(self):
         a = self.make()
         try:
-            a.put(0, MAX_DIRECT_TRACK, b"old")
-            a.scatter(
-                np.zeros(1, dtype=np.int64),
-                np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
-                np.frombuffer(b"n", dtype=np.uint8).reshape(1, 1),
-            )
-            assert a.get(0, MAX_DIRECT_TRACK) == b"n"
-            assert a._side[0] == {MAX_DIRECT_TRACK: b"n"}
+            a.put(0, PAGE_ROWS, b"old")  # longer than a block: side dict
+            assert a._side[0] == {PAGE_ROWS: b"old"}
+            out = np.empty((1, 1), dtype=np.uint8)
+            assert not a.gather(_i64(0), _i64(PAGE_ROWS), out)
+            a.scatter(_i64(0), _i64(PAGE_ROWS), _rows(b"n"))
+            assert a.get(0, PAGE_ROWS) == b"n"
+            assert not a._side[0]
         finally:
             self.teardown_arena(a)
 
-    def test_gather_refuses_boundary_tracks(self):
+    def test_gather_refuses_unallocated_page(self):
         a = self.make()
         try:
-            a.put(0, MAX_DIRECT_TRACK, b"w")
+            a.put(0, PAGE_ROWS - 1, b"w")
             out = np.empty((1, 1), dtype=np.uint8)
-            assert not a.gather(
-                np.zeros(1, dtype=np.int64),
-                np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
-                out,
-            )
+            assert not a.gather(_i64(0), _i64(PAGE_ROWS), out)
+            assert list(a._pages[0]) == [0], "gather must not allocate"
+        finally:
+            self.teardown_arena(a)
+
+    def test_resident_bounded_by_touched_pages(self):
+        a = self.make()
+        try:
+            for t in (0, 1, PAGE_ROWS - 1, 5 * PAGE_ROWS, _FAR):
+                a.put(0, t, b"x")
+            touched = 3  # pages 0, 5 and the shadow page
+            assert len(a._pages[0]) == touched
+            lens = touched * PAGE_ROWS * 4  # int32 byte lengths
+            data = touched * a.page_bytes
+            assert a.resident_nbytes() <= data + lens
+            assert a.resident_nbytes() + a.spill_nbytes() == data + lens
         finally:
             self.teardown_arena(a)
 

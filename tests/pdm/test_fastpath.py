@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pdm import fastpath
-from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
+from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.pdm.block import blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, greedy_batch_widths
 from repro.pdm.fastpath import BlockRun, BufferPool
@@ -110,11 +110,33 @@ def _fifo_reference_widths(disks: list[int]) -> list[int]:
     return widths
 
 
-@given(
-    disks=st.lists(st.integers(min_value=0, max_value=4), max_size=200),
-    D=st.integers(min_value=5, max_value=8),
+_random_streams = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=200),
+    st.integers(min_value=5, max_value=8),
 )
-def test_greedy_batch_widths_matches_fifo_reference(disks, D):
+
+
+@st.composite
+def _piecewise_striped_streams(draw):
+    """Concatenated striped runs ``(start + k) % D``: the shape the
+    consecutive layout emits, with random breaks (a length-1 run is a
+    random op, one long run a fully striped stream)."""
+    D = draw(st.integers(min_value=1, max_value=6))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=D - 1),
+                st.integers(min_value=1, max_value=3 * D + 2),
+            ),
+            max_size=12,
+        )
+    )
+    return [(s + k) % D for s, n in runs for k in range(n)], D
+
+
+@given(stream=st.one_of(_random_streams, _piecewise_striped_streams()))
+def test_greedy_batch_widths_matches_fifo_reference(stream):
+    disks, D = stream
     arr = np.asarray(disks, dtype=np.int64)
     nops, widths = greedy_batch_widths(arr, D)
     assert nops == len(widths)
@@ -145,17 +167,37 @@ class TestTrackArena:
         a.put(0, 0, b"xy")
         assert a.get(0, 0) == b"xy"
 
-    def test_huge_track_goes_to_side_dict(self):
+    def test_huge_track_takes_batched_path(self):
         a = TrackArena(D=1, block_bytes=8)
-        a.put(0, MAX_DIRECT_TRACK + 7, b"deadbeef")
-        assert a.get(0, MAX_DIRECT_TRACK + 7) == b"deadbeef"
-        assert a.max_track(0) == MAX_DIRECT_TRACK + 7
+        far = (1 << 30) + 7
+        a.put(0, far, b"deadbeef")
+        assert a.get(0, far) == b"deadbeef"
+        assert a.max_track(0) == far
+        assert not a._side[0]
         out = np.empty((1, 8), dtype=np.uint8)
-        assert not a.gather(
-            np.zeros(1, dtype=np.int64),
-            np.asarray([MAX_DIRECT_TRACK + 7], dtype=np.int64),
-            out,
+        assert a.gather(
+            np.zeros(1, dtype=np.int64), np.asarray([far], dtype=np.int64), out
         )
+        assert out.tobytes() == b"deadbeef"
+
+    def test_grow_events_at_power_of_two_page_counts(self):
+        a = TrackArena(D=2, block_bytes=4)
+        events: list[tuple[int, int]] = []
+        a.on_grow = lambda disk, tracks: events.append((disk, tracks))
+        for page in range(9):
+            a.put(0, page * PAGE_ROWS, b"x")
+        a.put(1, 0, b"y")
+        a.put(0, 3, b"z")  # an allocated page: no event
+        assert events == [(0, k * PAGE_ROWS) for k in (1, 2, 4, 8)] + [
+            (1, PAGE_ROWS)
+        ]
+        # one scatter that allocates many pages reports once
+        events.clear()
+        tracks = np.arange(20, 40, dtype=np.int64) * PAGE_ROWS
+        rows = np.zeros((20, 4), dtype=np.uint8)
+        a.scatter(np.zeros(20, dtype=np.int64), tracks, rows)
+        a.scatter(np.ones(2, dtype=np.int64), tracks[:2], rows[:2])
+        assert events == [(0, 29 * PAGE_ROWS), (1, 3 * PAGE_ROWS)]
 
     def test_scatter_last_wins_on_duplicates(self):
         a = TrackArena(D=1, block_bytes=4)

@@ -1,5 +1,5 @@
-"""The mmap arena's own machinery: spill-directory lifecycle, growth by
-ftruncate, quota enforcement, resident-memory accounting, and the
+"""The mmap arena's own machinery: spill-directory lifecycle, page slots
+grown by ftruncate, quota enforcement, resident-memory accounting, and the
 ``REPRO_ARENA`` selection knob end to end through :class:`DiskArray`."""
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cgm.config import MachineConfig
 from repro.pdm import fastpath
-from repro.pdm.arena import TrackArena
+from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.pdm.disk_array import DiskArray
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import MmapTrackArena, make_arena
@@ -64,13 +64,22 @@ class TestGrowth:
         a = MmapTrackArena(1, 8)
         try:
             a.put(0, 0, b"AAAAAAAA")
-            a.put(0, 2000, b"BBBBBBBB")  # forces several doublings
+            far = 40 * PAGE_ROWS + 3
+            a.put(0, far, b"BBBBBBBB")  # second page: file slot 1
+            a.put(0, 5, b"CC")  # short row, zero-padded in place
             assert a.get(0, 0) == b"AAAAAAAA"
-            assert a.get(0, 2000) == b"BBBBBBBB"
-            assert a.get(0, 1000) is None  # sparse hole: unoccupied
-            # file size matches the doubled capacity
+            assert a.get(0, far) == b"BBBBBBBB"
+            assert a.get(0, 5) == b"CC"
+            assert a.get(0, 1000) is None  # unoccupied row of a live page
+            assert a.get(0, 20 * PAGE_ROWS) is None  # never-touched page
+            # one slot per touched page, in first-touch order
             fsize = os.path.getsize(os.path.join(a.spill_dir, "disk0.bin"))
-            assert fsize == a._data[0].shape[0] * 8 == a.spill_nbytes()
+            assert fsize == 2 * a.page_bytes == a.spill_nbytes()
+            with open(os.path.join(a.spill_dir, "disk0.bin"), "rb") as f:
+                raw = f.read()
+            assert raw[:8] == b"AAAAAAAA"
+            assert raw[40:48] == b"CC" + b"\x00" * 6
+            assert raw[a.page_bytes + 24 : a.page_bytes + 32] == b"BBBBBBBB"
         finally:
             a.close()
 
@@ -82,7 +91,7 @@ class TestGrowth:
             for t in range(512):
                 a.put(0, t, b"\x01" * 1024)
             assert a.spill_nbytes() >= 512 * 1024
-            assert a.resident_nbytes() < 64 * 1024  # masks + lengths only
+            assert a.resident_nbytes() < 64 * 1024  # byte lengths only
             ram = TrackArena(1, 1024)
             ram.restore(0, a.snapshot(0))
             assert ram.resident_nbytes() > 512 * 1024  # RAM arena counts data
@@ -90,24 +99,26 @@ class TestGrowth:
             a.close()
 
     def test_quota_blocks_growth_not_existing_data(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(64 * 8))
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(PAGE_ROWS * 8))
         a = MmapTrackArena(1, 8)
         try:
-            a.put(0, 10, b"x" * 8)  # first 64-row mapping: exactly at quota
+            a.put(0, 10, b"x" * 8)  # first page: exactly at quota
+            a.put(0, PAGE_ROWS - 1, b"z" * 8)  # same page: no new bytes
             assert a.get(0, 10) == b"x" * 8
             with pytest.raises(SimulationError, match="spill quota exceeded"):
-                a.put(0, 100, b"y" * 8)
+                a.put(0, PAGE_ROWS, b"y" * 8)
             assert a.get(0, 10) == b"x" * 8  # refused growth left data intact
+            assert a.get(0, PAGE_ROWS) is None
         finally:
             a.close()
 
     def test_quota_counts_all_disks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(96 * 8))
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(PAGE_ROWS * 8 * 3 // 2))
         a = MmapTrackArena(2, 8)
         try:
-            a.put(0, 0, b"x" * 8)  # disk 0 maps 64 rows
+            a.put(0, 0, b"x" * 8)  # disk 0 maps one page
             with pytest.raises(SimulationError, match="spill quota"):
-                a.put(1, 0, b"y" * 8)  # disk 1's 64 rows would exceed
+                a.put(1, 0, b"y" * 8)  # disk 1's page would exceed
         finally:
             a.close()
 
