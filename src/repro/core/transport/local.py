@@ -21,11 +21,6 @@ from multiprocessing import resource_tracker, shared_memory
 from repro.core.transport.base import Transport, poll_get
 from repro.pdm.fastpath import BlockRun
 
-#: payload placeholder in a shared-memory packet: the receiver rebuilds a
-#: BlockRun view over the mapped segment from these coordinates.
-_SHM_REF = "__shmrun__"
-
-
 def _untrack_shm(shm) -> None:
     """Detach a *sender's* segment from the resource tracker.
 
@@ -77,15 +72,13 @@ class ShmTransport(MemoryTransport):
 
     def _encode(self, items: list) -> tuple:
         """``("inl", items)`` below the threshold, else
-        ``("shm", segment_name, items_with_refs)``."""
+        ``("shm", segment_name, items_with_refs)``, where each payload
+        is replaced by the ``(offset, nbytes, nblocks, block_bytes)`` the
+        receiver rebuilds its :class:`BlockRun` view from."""
         threshold = self.shm_threshold
         if threshold is None:
             return ("inl", items)
-        total = sum(
-            bundle[2].nbytes
-            for _src, bundle in items
-            if isinstance(bundle[2], BlockRun)
-        )
+        total = sum(bundle[2].nbytes for _src, bundle in items)
         if total < threshold:
             return ("inl", items)
         shm = shared_memory.SharedMemory(create=True, size=total)
@@ -94,14 +87,11 @@ class ShmTransport(MemoryTransport):
             off = 0
             wire_items = []
             for src_pid, (dest, parts, payload) in items:
-                if isinstance(payload, BlockRun):
-                    n = payload.nbytes
-                    view[off : off + n] = memoryview(payload.buf).cast("B")
-                    payload = (
-                        _SHM_REF, off, n, payload.nblocks, payload.block_bytes
-                    )
-                    off += n
-                wire_items.append((src_pid, (dest, parts, payload)))
+                n = payload.nbytes
+                view[off : off + n] = memoryview(payload.buf).cast("B")
+                ref = (off, n, payload.nblocks, payload.block_bytes)
+                off += n
+                wire_items.append((src_pid, (dest, parts, ref)))
             return ("shm", shm.name, wire_items)
         finally:
             # the receiver owns the segment's lifetime from here on
@@ -117,10 +107,8 @@ class ShmTransport(MemoryTransport):
         self._consumed.append(shm)
         view = memoryview(shm.buf)
         items = []
-        for src_pid, (dest, parts, payload) in wire_items:
-            if isinstance(payload, tuple) and payload and payload[0] == _SHM_REF:
-                _tag, off, n, nblocks, block_bytes = payload
-                payload = BlockRun(view[off : off + n], nblocks, block_bytes)
+        for src_pid, (dest, parts, (off, n, nblocks, block_bytes)) in wire_items:
+            payload = BlockRun(view[off : off + n], nblocks, block_bytes)
             items.append((src_pid, (dest, parts, payload)))
         return items
 

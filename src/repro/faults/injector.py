@@ -27,13 +27,16 @@ degraded I/Os, migrated blocks and the parallelism width lost to remapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.pdm.disk_array import DiskArray, IOOp
+from repro.pdm.disk_array import DiskArray, IOOp, Segment
 from repro.util.validation import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.tune.runtime import RuntimeConfig
 
 #: logical tracks remapped off a dead disk live in this shadow range on the
 #: survivors, keyed uniquely by (logical disk, logical track).
@@ -215,23 +218,44 @@ class FaultInjector:
 class FaultyDiskArray(DiskArray):
     """A disk array whose physical accesses obey a fault plan.
 
-    The logical PDM schedule (batch validation, :class:`IOStats`) is
-    inherited unchanged from :class:`DiskArray`; only the *service* of each
-    single-track access goes through the injector.
+    The logical PDM schedule (batch validation, :class:`IOStats`) and the
+    arena storage are inherited unchanged from :class:`DiskArray`; only
+    the *service* of each single-track access goes through the injector.
+    Every access draws its faults in FIFO order, so the bulk entry points
+    expand to the per-op loops instead of batching.
     """
 
     def __init__(
-        self, D: int, B: int, injector: FaultInjector, tracer=None, real: int = 0
+        self,
+        D: int,
+        B: int,
+        injector: FaultInjector,
+        tracer=None,
+        real: int = 0,
+        runtime: "RuntimeConfig | None" = None,
     ) -> None:
-        super().__init__(D, B)
+        super().__init__(D, B, tracer=tracer, real=real, runtime=runtime)
         self.injector = injector
         self.tracer = tracer
         self.real = real
 
-    def _use_fastpath_storage(self) -> bool:
-        # fault injection resolves, retries and tears every track access
-        # individually — it always runs the per-op reference path
-        return False
+    # -- bulk entry points, serviced per op ------------------------------------
+
+    def write_stream(self, segments: Sequence[Segment]) -> int:
+        placements: list[tuple[int, int, bytes]] = []
+        for disks, tracks, run in segments:
+            placements.extend(zip(disks.tolist(), tracks.tolist(), run.to_blocks()))
+        return self.write_blocks(placements)
+
+    def read_run(
+        self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        disks = np.asarray(disks, dtype=np.int64)
+        tracks = np.asarray(tracks, dtype=np.int64)
+        n = int(disks.size) * self.block_bytes
+        if out is None:
+            out = np.empty(n, dtype=np.uint8)
+        return self._read_per_op(disks, tracks, out[:n])
 
     # -- core operation ------------------------------------------------------
 
@@ -317,24 +341,25 @@ class FaultyDiskArray(DiskArray):
                 f"disk {dead} of real processor {self.real} died and no "
                 f"survivors remain (D={self.D})"
             )
-        disk = self.disks[dead]
+        tracks = self.disks[dead].snapshot_tracks()
         # every physical block on the dead device must move: its native
         # tracks plus any shadow blocks it hosted for earlier casualties
         victims: list[tuple[tuple[int, int], int]] = []
         for key, (pd, pt) in list(inj.remap.items()):
             if pd == dead:
                 victims.append((key, pt))
-        for t in disk._tracks:
+        for t in tracks:
             if t < SHADOW_BASE:
                 victims.append(((dead, t), t))
         victims.sort(key=lambda item: item[1])
+        # migration is modeled I/O (migration_ios), not logical I/O: it
+        # moves bytes in the arena without touching per-disk counters
         for i, (key, ptrack) in enumerate(victims):
-            data = disk._tracks.pop(ptrack)
             new_disk = alive[i % len(alive)]
             new_track = inj.shadow_track(key[0], key[1], self.D)
-            self.disks[new_disk]._tracks[new_track] = data
+            self._arena.put(new_disk, new_track, tracks[ptrack])
             inj.remap[key] = (new_disk, new_track)
-        disk._tracks.clear()
+        self.disks[dead].restore_tracks({})
         inj.stats.dead_disks += 1
         inj.stats.migrated_blocks += len(victims)
         inj.stats.migration_ios += -(-len(victims) // len(alive)) if victims else 0

@@ -9,8 +9,9 @@ to ``D*B`` items at cost ``G``.
 The substrate is a faithful simulator, not a performance shim: the disks
 store real bytes, reads genuinely reconstruct what was written, and the
 :class:`IOStats` counters are the PDM cost measure the paper's theorems are
-stated in.  Two interchangeable executions exist — a per-op reference path
-and a vectorized arena-backed fast path (:mod:`repro.pdm.fastpath`) — with
+stated in.  Tracks live in a paged per-disk arena (:mod:`repro.pdm.arena`);
+the engines move whole streams through it in batches, and per-op
+:meth:`DiskArray.parallel_io` (the fault injector's path) gives
 bit-identical counters, traces and stored bytes.
 """
 

@@ -1,29 +1,27 @@
-"""Paged per-disk track storage for the fast path.
+"""Paged per-disk track storage, the only store behind every disk.
 
-The reference :class:`~repro.pdm.disk.Disk` stores tracks in a
-``dict[int, bytes]`` — flexible, but every write allocates a ``bytes`` and
-every read hands back a Python object.  The arena keeps each disk's tracks
-in fixed-size *pages* instead: page ``track >> PAGE_SHIFT`` holds
+The arena keeps each disk's tracks in fixed-size *pages*, not one
+``bytes`` object per track: page ``track >> PAGE_SHIFT`` holds
 ``PAGE_ROWS`` rows of ``uint8`` (row stride = the block size in bytes)
 plus a per-row byte length, so a whole parallel-I/O stream scatters or
 gathers with a handful of NumPy fancy-indexing operations per touched
 page.
 
-Invariants that keep the arena interchangeable with the dict:
+Invariants that keep the arena equivalent to a ``dict[int, bytes]`` of
+tracks (the model ``tests/pdm`` checks it against):
 
 * the page map is a sparse ``dict`` — a page is allocated the first time
   a write touches it, so only touched pages use memory, any track index
   (the fault injector's shadow region at ``1 << 40`` included) takes the
   batched path, and growth never copies an existing page;
 * a row is either *occupied* (byte length >= 0) or free (length -1) —
-  reading a free track is the same ``SimulationError`` as the dict path;
+  reading a free track is a ``SimulationError``;
 * rows are zero-padded past their length, mirroring ``pack_blocks``;
-* payloads longer than a block (odd-sized standalone-``Disk`` writes) do
-  not fit a row and live in a per-disk side dict, their row left free.
+* payloads longer than a block (odd-sized single-track writes) do not
+  fit a row and live in a per-disk side dict, their row left free.
 
-``snapshot``/``restore`` produce and accept the reference representation
-(``dict[int, bytes]``), which keeps engine checkpoints portable between
-arenas, engines and ``REPRO_FASTPATH`` settings.
+``snapshot``/``restore`` produce and accept a ``dict[int, bytes]``, which
+keeps engine checkpoints portable between arenas and engines.
 
 Storage backends: this class allocates pages as in-memory arrays
 (``REPRO_ARENA=ram``, the default);
@@ -164,13 +162,13 @@ class TrackArena:
         self._side[disk].pop(track, None)
         self._free_row(disk, track)
 
-    # -- bulk operations (DiskArray fast path) -----------------------------
+    # -- bulk operations (DiskArray bulk path) -----------------------------
 
     def scatter(self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray) -> None:
         """Store ``rows[i]`` (full block stride each) at ``(disks[i], tracks[i])``.
 
         Duplicate addresses within one call resolve last-wins, matching the
-        sequential reference loop.  Rows must already carry their padding;
+        sequential per-op loop.  Rows must already carry their padding;
         every stored track is marked full-stride.
         """
         bb = self.block_bytes
@@ -195,7 +193,7 @@ class TrackArena:
         Returns ``False`` (*out* possibly part-filled) when any requested
         row is free or shorter than the full stride — a side-dict track
         always leaves its row free — and callers fall back to the
-        per-track reference loop, which handles those and raises the
+        per-track loop, which handles those and raises the
         canonical unwritten-track error.  Returns ``True`` on a completed
         gather.  Never allocates a page.
         """
@@ -262,7 +260,7 @@ class TrackArena:
         return top
 
     def snapshot(self, disk: int) -> dict[int, bytes]:
-        """The reference ``dict[int, bytes]`` view of one disk's tracks."""
+        """The ``dict[int, bytes]`` view of one disk's tracks."""
         out: dict[int, bytes] = {}
         bb = self.block_bytes
         pages = self._pages[disk]

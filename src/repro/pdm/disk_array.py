@@ -8,17 +8,22 @@ responsible for scheduling conflict-free batches; the array will refuse a
 batch that violates the rule, so a mis-scheduled layout fails loudly in the
 tests instead of silently undercounting I/O.
 
-Two execution paths service bulk streams:
+Every disk stores its tracks in the array's paged
+:class:`~repro.pdm.arena.TrackArena`.  Two kinds of entry point move
+data:
 
-* :meth:`write_blocks` / :meth:`read_blocks` — the reference path: greedy
-  FIFO batching into per-op :class:`IOOp` lists, one Python iteration per
-  block.  This is the executable specification.
-* :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the fast
-  path: the same greedy batch boundaries computed vectorially
+* :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the bulk
+  path the engines use: greedy FIFO batch boundaries computed vectorially
   (:func:`greedy_batch_widths`), data moved as single NumPy scatter/gather
-  operations over the shared :class:`~repro.pdm.arena.TrackArena`, and the
-  aggregate recorded with :meth:`IOStats.record_batch`.  Counters, batch
-  widths and stored bytes are bit-identical to the reference path.
+  operations over the arena, and the aggregate recorded with
+  :meth:`IOStats.record_batch`.
+* :meth:`parallel_io` and its loops :meth:`write_blocks` /
+  :meth:`read_blocks` — one :class:`IOOp` list per parallel I/O, recorded
+  with :meth:`IOStats.record`.  The fault injector services every access
+  this way, and :meth:`read_run` falls back to it for tracks the arena
+  cannot gather (unwritten, short or oversized), which raises the
+  canonical errors.  Counters, batch widths and stored bytes are the same
+  on both.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.pdm import fastpath
 from repro.pdm.arena import TrackArena
 from repro.pdm.disk import Disk
 from repro.pdm.fastpath import BlockRun
@@ -41,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - layering: pdm stays engine-free
     from repro.obs.trace import TraceRecorder
     from repro.tune.runtime import RuntimeConfig
 
-#: One fast-path write/read segment: parallel arrays of disk and track
+#: One bulk write segment: parallel arrays of disk and track
 #: indices plus the run of blocks addressed by them.
 Segment = tuple[np.ndarray, np.ndarray, BlockRun]
 
@@ -135,13 +139,8 @@ class DiskArray:
         self.block_bytes = B * ITEM_BYTES
         self._tracer = tracer
         self._real = int(real)
-        self._runtime = runtime
-        self._arena: TrackArena | None = (
-            make_arena(D, self.block_bytes, runtime=runtime)
-            if self._use_fastpath_storage()
-            else None
-        )
-        if self._arena is not None and tracer is not None and tracer.enabled:
+        self._arena: TrackArena = make_arena(D, self.block_bytes, runtime=runtime)
+        if tracer is not None and tracer.enabled:
             # storage telemetry: growth happens on the engine thread only
             # (scatters/writes; speculative gathers never grow), so the
             # callback emits without synchronization
@@ -156,8 +155,7 @@ class DiskArray:
         new power of two, so a run emits O(log pages) events per disk;
         *cap* is the allocated track capacity of that disk."""
         arena, tracer = self._arena, self._tracer
-        if arena is None or tracer is None:
-            return
+        assert tracer is not None  # the callback is attached only when tracing
         tracer.emit(
             "arena_grow",
             real=self._real,
@@ -168,17 +166,6 @@ class DiskArray:
             spill_nbytes=arena.spill_nbytes(),
             backend="mmap" if getattr(arena, "spill_dir", None) else "ram",
         )
-
-    def _use_fastpath_storage(self) -> bool:
-        """Whether to back the disks with a shared arena.
-
-        ``FaultyDiskArray`` overrides this to ``False``: fault injection
-        resolves and retries every op individually, so it always runs the
-        reference path.
-        """
-        if self._runtime is not None:
-            return self._runtime.fastpath_storage
-        return fastpath.enabled()
 
     # -- core operation ----------------------------------------------------
 
@@ -284,14 +271,6 @@ class DiskArray:
         segments = [s for s in segments if s[2].nblocks]
         if not segments:
             return 0
-        if self._arena is None:
-            placements: list[tuple[int, int, bytes]] = []
-            for disks, tracks, run in segments:
-                placements.extend(
-                    zip(disks.tolist(), tracks.tolist(), run.to_blocks())
-                )
-            return self.write_blocks(placements)
-
         if len(segments) == 1:
             all_disks = np.asarray(segments[0][0], dtype=np.int64)
             all_tracks = np.asarray(segments[0][1], dtype=np.int64)
@@ -324,7 +303,7 @@ class DiskArray:
         Returns a ``uint8`` array of ``n * block_bytes`` bytes (a view of
         *out* when given, so callers can pool the allocation).  Batching
         and counters match :meth:`read_blocks` exactly; free, short or
-        oversized tracks fall back to the reference loop transparently.
+        oversized tracks fall back to the per-op loop transparently.
         """
         disks = np.asarray(disks, dtype=np.int64)
         tracks = np.asarray(tracks, dtype=np.int64)
@@ -335,15 +314,20 @@ class DiskArray:
         flat = out[: n * bb]
         if n == 0:
             return flat
-        if self._arena is not None:
-            self._check_addresses(disks, tracks)
-            rows = flat.reshape(n, bb)
-            if self._arena.gather(disks, tracks, rows):
-                nops, widths = greedy_batch_widths(disks, self.D)
-                self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
-                return flat
-        # Reference fallback: per-track loop (dict mode, oversized side-dict
-        # tracks, short rows, and the canonical unwritten-track error).
+        self._check_addresses(disks, tracks)
+        if self._arena.gather(disks, tracks, flat.reshape(n, bb)):
+            nops, widths = greedy_batch_widths(disks, self.D)
+            self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
+            return flat
+        return self._read_per_op(disks, tracks, flat)
+
+    def _read_per_op(
+        self, disks: np.ndarray, tracks: np.ndarray, flat: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`read_blocks` over the addresses, copied into *flat* with
+        each block zero-padded to the full stride (oversized side-dict
+        tracks, short rows, and the canonical unwritten-track error)."""
+        bb = self.block_bytes
         blocks = self.read_blocks(list(zip(disks.tolist(), tracks.tolist())))
         pos = 0
         for block in blocks:
@@ -366,12 +350,10 @@ class DiskArray:
         those are mutated by :meth:`finish_read` on the consuming thread,
         which keeps IOStats single-threaded and bit-identical to the
         synchronous path.  Returns ``True`` only when every block was
-        copied out of the arena; any fallback condition (reference mode,
-        oversized side-dict tracks, bad addresses, unwritten tracks) returns
+        copied out of the arena; any fallback condition (oversized
+        side-dict tracks, bad addresses, unwritten tracks) returns
         ``False`` and leaves the work to :meth:`finish_read`.
         """
-        if self._arena is None:
-            return False
         try:
             self._check_addresses(disks, tracks)
         except SimulationError:
@@ -417,7 +399,6 @@ class DiskArray:
     def _scatter_run(
         self, disks: np.ndarray, tracks: np.ndarray, run: BlockRun
     ) -> None:
-        assert self._arena is not None
         bb = self.block_bytes
         n = run.nblocks
         buf = run.buf
@@ -471,8 +452,7 @@ class DiskArray:
 
     def close(self) -> None:
         """Release arena storage (deletes mmap spill files, if any)."""
-        if self._arena is not None:
-            self._arena.close()
+        self._arena.close()
 
     @property
     def tracks_in_use(self) -> int:

@@ -1,34 +1,21 @@
-"""Runtime switch and zero-copy containers for the vectorized fast path.
+"""Arena switch and zero-copy containers for the batched I/O path.
 
-The simulator has two executions of the *same* logical machine:
+The engines service whole parallel-I/O streams as single NumPy
+gather/scatter operations over a paged per-disk track arena
+(:mod:`repro.pdm.arena`).  The differential suite in
+``tests/core/test_fastpath_differential.py`` pins that this path gives the
+same outputs, ``IOStats`` and traces as servicing every block through a
+per-op :meth:`~repro.pdm.disk_array.DiskArray.parallel_io`.  This module
+holds the pieces the engines, the arena and the worker transports share:
 
-* the **reference path** — per-:class:`~repro.pdm.disk_array.IOOp` Python
-  loops over dict-backed tracks, kept as the executable specification and
-  selected with ``REPRO_FASTPATH=0``;
-* the **fast path** — whole parallel-I/O streams serviced as single NumPy
-  gather/scatter operations over a paged per-disk track arena
-  (:mod:`repro.pdm.arena`).
-
-Both must produce bit-identical outputs, ``IOStats`` and traces; the
-differential suite in ``tests/core/test_fastpath_differential.py`` pins
-this.  This module holds the pieces shared by both sides of the split:
-
-* :func:`enabled` / :func:`set_enabled` — the ``REPRO_FASTPATH`` switch
-  (default on).  ``set_enabled`` writes the environment variable too, so
-  worker processes spawned after the call agree with the parent.
 * :func:`arena_kind` / :func:`set_arena_kind` — the ``REPRO_ARENA``
-  storage selector for the fast path's paged track arena: ``ram``
+  storage selector for the paged track arena: ``ram``
   (default, in-memory NumPy pages) or ``mmap`` (file-backed
   :class:`~repro.pdm.mmap_arena.MmapTrackArena` for out-of-core runs).
-* :func:`prefetch_enabled` — the ``REPRO_PREFETCH`` switch (default on)
-  for the double-buffered context prefetch pipeline
-  (:mod:`repro.pdm.pipeline`).
 * :class:`BlockRun` — a run of fixed-size blocks backed by one buffer,
   the zero-copy replacement for a ``list[bytes]`` of packed blocks.
 * :class:`BufferPool` — bounded reuse of gather/scatter staging buffers,
-  killing the per-track allocations of the reference path.
-* :func:`shm_threshold` — payload size above which the workers backend
-  ships bundles via ``multiprocessing.shared_memory`` instead of pickle.
+  so a run does not allocate per parallel I/O.
 """
 
 from __future__ import annotations
@@ -36,32 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tune import knobs as _knobs
-from repro.tune.knobs import ARENA_KINDS, DEFAULT_SHM_THRESHOLD  # noqa: F401
+from repro.tune.knobs import ARENA_KINDS
 from repro.tune.runtime import current as _current
-
-
-def enabled() -> bool:
-    """True when the vectorized fast path is selected (``REPRO_FASTPATH``).
-
-    The knob accepts ``on``/``off`` spellings plus ``auto[:blocks]``
-    (per-superstep dispatch); both ``on`` and ``auto`` report True here —
-    arena-backed storage is shared by both.  Parsed by
-    :mod:`repro.tune.knobs`; malformed values raise a named
-    :class:`~repro.tune.knobs.KnobError`.  Read dynamically so tests can
-    flip the environment per-run; engines snapshot a
-    :class:`~repro.tune.runtime.RuntimeConfig` once per run instead.
-    """
-    return _current().fastpath_mode != "off"
-
-
-def set_enabled(flag: bool) -> None:
-    """Select the fast (True) or reference (False) path process-wide.
-
-    Writes ``REPRO_FASTPATH`` (via the centralized knob layer) so child
-    processes started afterwards (the workers backend) inherit the same
-    selection.
-    """
-    _knobs.set_env("REPRO_FASTPATH", "1" if flag else "0")
 
 
 def arena_kind() -> str:
@@ -91,27 +54,6 @@ def set_arena_kind(kind: str) -> None:
             f"unknown arena kind {kind!r}; choose from {ARENA_KINDS}"
         )
     _knobs.set_env("REPRO_ARENA", kind)
-
-
-def prefetch_enabled() -> bool:
-    """True when the double-buffered context prefetcher is selected.
-
-    ``REPRO_PREFETCH`` — unset or truthy means *on*; the pipeline only
-    engages on the fast path (the reference path stays a strictly
-    sequential executable specification).
-    """
-    rt = _current()
-    return rt.fastpath_mode != "off" and rt.prefetch
-
-
-def shm_threshold() -> int | None:
-    """Payload bytes above which worker packets use shared memory.
-
-    ``None`` disables the shared-memory transport entirely: when the fast
-    path is off (payloads are ``list[bytes]``, the reference wire format)
-    or ``REPRO_SHM_BYTES`` is non-positive.
-    """
-    return _current().shm_threshold
 
 
 class BlockRun:
@@ -146,7 +88,8 @@ class BlockRun:
         return int(buf.nbytes) if isinstance(buf, np.ndarray) else len(buf)
 
     def to_blocks(self) -> list[bytes]:
-        """Materialize the reference representation (copies; fallback only)."""
+        """Materialize one ``bytes`` per block (copies; the per-op path of
+        fault-injected arrays only)."""
         bb = self.block_bytes
         data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]

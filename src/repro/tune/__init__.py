@@ -18,7 +18,6 @@ schema-versioned :mod:`repro.tune.profile` JSON document that
 
 from repro.tune.knobs import (
     KNOBS,
-    DEFAULT_AUTO_BLOCKS,
     DEFAULT_SHM_THRESHOLD,
     KnobError,
     KnobSpec,
@@ -28,7 +27,6 @@ from repro.tune.runtime import RuntimeConfig, current
 
 __all__ = [
     "KNOBS",
-    "DEFAULT_AUTO_BLOCKS",
     "DEFAULT_SHM_THRESHOLD",
     "KnobError",
     "KnobSpec",

@@ -14,7 +14,7 @@ Layout (``SCHEMA_VERSION`` 1)::
       "kind": "repro-tuned-profile",
       "workload": {"op": "sort", "n": 65536, "p": 4, "seed": 7},
       "machine": {"v": 8, "B": 256, "D": 2},
-      "config": {"workers": 0, "fastpath": "on", ...},
+      "config": {"workers": 0, "arena": "ram", ...},
       "rationale": ["analytic: pruned 21/27 candidates ...", ...],
       "search": {"candidates": 27, "pruned": 21, "probes": 6, ...},
       "env": {"python": "...", "platform": "...", ...},

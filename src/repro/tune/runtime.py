@@ -3,7 +3,7 @@
 A :class:`RuntimeConfig` is frozen: engines resolve one at the top of
 ``run()`` and consult only the snapshot for the rest of the run, so
 flipping an environment variable mid-process affects the *next* run but
-never half-applies to one in flight (historically ``REPRO_FASTPATH``
+never half-applies to one in flight (historically one storage knob
 followed a flip while the arena choice, cached at import time, did not).
 
 Precedence, lowest to highest: registry default < tuned-profile entry <
@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.tune import knobs
-from repro.tune.knobs import (
-    DEFAULT_AUTO_BLOCKS,
-    DEFAULT_SHM_THRESHOLD,
-    KNOB_BY_NAME,
-    KNOBS,
-    KnobError,
-)
+from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_NAME, KNOBS, KnobError
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,6 @@ class RuntimeConfig:
     """
 
     workers: int = 0
-    fastpath: str = "on"
     arena: str = "ram"
     prefetch: bool = True
     transport: str = "shm"
@@ -48,35 +41,6 @@ class RuntimeConfig:
     trace: "str | None" = None
     faults: "str | None" = None
     profile: "str | None" = None
-
-    @property
-    def fastpath_mode(self) -> str:
-        """``on``, ``off``, or ``auto`` (threshold stripped)."""
-        return "auto" if self.fastpath.startswith("auto") else self.fastpath
-
-    @property
-    def fastpath_auto_blocks(self) -> int:
-        """Block threshold for auto dispatch (``auto:N`` suffix or default)."""
-        if self.fastpath.startswith("auto:"):
-            return int(self.fastpath[5:])
-        return DEFAULT_AUTO_BLOCKS
-
-    @property
-    def fastpath_storage(self) -> bool:
-        """Whether disk arrays use arena-backed storage.
-
-        Storage is mode-independent of per-superstep dispatch: ``auto``
-        keeps the arena so supersteps can flip between paths over the
-        same bytes.
-        """
-        return self.fastpath_mode != "off"
-
-    @property
-    def shm_threshold(self) -> "int | None":
-        """Effective shared-memory threshold (None = shm transport off)."""
-        if self.fastpath_mode == "off":
-            return None
-        return self.shm_bytes
 
     def replace(self, **changes: Any) -> "RuntimeConfig":
         return dataclasses.replace(self, **changes)
@@ -136,7 +100,7 @@ def current() -> RuntimeConfig:
     """The knob snapshot the current environment resolves to.
 
     Deliberately uncached — engines capture the result once per run;
-    module-level callers (legacy ``fastpath.enabled()`` style accessors)
+    module-level callers (``fastpath.arena_kind()`` style accessors)
     always see fresh environment state.
     """
     return RuntimeConfig.from_env()

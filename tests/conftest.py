@@ -41,3 +41,39 @@ def cfg_for(kind: str, base: MachineConfig) -> MachineConfig:
     if kind == "par":
         return base.with_(p=max(2, min(4, base.v)))
     return base
+
+
+@pytest.fixture
+def clean_io_probe(monkeypatch):
+    """Count the ``DiskArray.parallel_io`` calls of clean in-process EM runs.
+
+    A zero-call check is about the clean batched path, so the probe clears
+    ``REPRO_FAULTS`` (a plan swaps in ``FaultyDiskArray``, whose own
+    ``parallel_io`` the counter cannot see) and ``REPRO_WORKERS`` (worker
+    processes are out of its reach).  It also records every disk array
+    the EM engines build, so a test can assert they are plain
+    ``DiskArray`` and the count cannot pass without checking anything.
+    """
+    from types import SimpleNamespace
+
+    from repro.core.par_engine import ParEMEngine
+    from repro.pdm.disk_array import DiskArray
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    probe = SimpleNamespace(calls=[], arrays=[])
+    parallel_io = DiskArray.parallel_io
+    make_array = ParEMEngine._make_array
+
+    def counting(self, ops):
+        probe.calls.append(len(ops))
+        return parallel_io(self, ops)
+
+    def recording(self, real):
+        arr = make_array(self, real)
+        probe.arrays.append(arr)
+        return arr
+
+    monkeypatch.setattr(DiskArray, "parallel_io", counting)
+    monkeypatch.setattr(ParEMEngine, "_make_array", recording)
+    return probe

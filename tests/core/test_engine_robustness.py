@@ -9,6 +9,8 @@ import pytest
 from repro.cgm.config import MachineConfig
 from repro.cgm.program import CGMProgram, FunctionalProgram
 from repro.em.runner import make_engine
+from repro.faults.plan import FaultPlan
+from repro.pdm.disk_array import DiskArray
 
 
 class BigMessages(CGMProgram):
@@ -89,6 +91,28 @@ class TestOverflowPath:
         assert res.report.overflow_blocks > 0
         for pid in range(v):
             assert np.array_equal(res.outputs[pid], inputs[(pid - 1) % v])
+
+    @pytest.mark.parametrize("kind", ["seq", "par"])
+    def test_overflow_reads_stay_on_the_batched_path(self, kind, rng, clean_io_probe):
+        """Overflow runs are read as one batched run, like slot messages:
+        a clean run makes no per-op ``parallel_io`` call, and its IOStats
+        equal the per-op service of the same run (an empty fault plan)."""
+        v = 4
+        cfg = MachineConfig(N=1 << 12, v=v, p=2 if kind == "par" else 1, D=2, B=32)
+        inputs = [rng.integers(0, 2**40, 500) for _ in range(v)]
+        clean = make_engine(cfg, kind).run(BigMessages(), list(inputs))
+        assert clean.report.overflow_blocks > 0
+        assert len(clean_io_probe.arrays) == cfg.p
+        assert all(type(a) is DiskArray for a in clean_io_probe.arrays)
+        assert clean_io_probe.calls == []
+
+        per_op = make_engine(cfg, kind, faults=FaultPlan(seed=0)).run(
+            BigMessages(), list(inputs)
+        )
+        assert per_op.report.io.as_dict() == clean.report.io.as_dict()
+        assert per_op.report.io_max.as_dict() == clean.report.io_max.as_dict()
+        for a, b in zip(clean.outputs, per_op.outputs):
+            assert np.array_equal(a, b)
 
     def test_overflow_tracks_are_freed(self, rng):
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=32)

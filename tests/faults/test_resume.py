@@ -264,8 +264,9 @@ class TestCrossArenaResume:
     def test_mmap_checkpoint_restores_on_reference_path(
         self, tmp_path, monkeypatch
     ):
-        """The extreme cross: killed on the mmap arena, resumed with the
-        fast path disabled entirely (dict-backed reference storage)."""
+        """The extreme cross: killed in-process on the mmap arena with
+        prefetch, resumed on the RAM arena with synchronous reads in
+        worker processes — every physical knob flipped at once."""
         clean = run_sort(self.CFG)
         ck = str(tmp_path / "ck")
         flag = str(tmp_path / "kill.flag")
@@ -275,9 +276,9 @@ class TestCrossArenaResume:
             run_sort(
                 self.CFG, program=KillableSort(KILL_ROUND, flag), checkpoint=ck
             )
-        monkeypatch.delenv("REPRO_ARENA")
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        resumed = run_sort(self.CFG, checkpoint=ck, resume=True)
+        monkeypatch.setenv("REPRO_ARENA", "ram")
+        monkeypatch.setenv("REPRO_PREFETCH", "0")
+        resumed = run_sort(self.CFG.with_(workers=2), checkpoint=ck, resume=True)
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)

@@ -1,4 +1,4 @@
-"""Three-way storage-backend equivalence: dict Disk, RAM arena, mmap arena.
+"""Three-way storage equivalence: dict model, RAM arena, mmap arena.
 
 One logical track store, three implementations.  The hypothesis suites
 drive the *same* randomized operation sequence through all three and
@@ -21,6 +21,7 @@ from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.pdm.disk import Disk
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.util.validation import SimulationError
+from tests.pdm.dict_disk import DictDisk
 
 D = 2
 BB = 8  # block bytes
@@ -28,11 +29,11 @@ BB = 8  # block bytes
 
 @pytest.fixture
 def trio():
-    """One dict-backed disk bank plus RAM- and mmap-arena banks."""
+    """One dict-model disk bank plus RAM- and mmap-arena banks."""
     ram = TrackArena(D, BB)
     mm = MmapTrackArena(D, BB)
     banks = (
-        [Disk(d) for d in range(D)],
+        [DictDisk(d) for d in range(D)],
         [Disk(d, arena=ram) for d in range(D)],
         [Disk(d, arena=mm) for d in range(D)],
     )
@@ -84,7 +85,7 @@ def test_randomized_sequences_are_equivalent(ops):
     mm = MmapTrackArena(D, BB)
     try:
         banks = (
-            [Disk(d) for d in range(D)],
+            [DictDisk(d) for d in range(D)],
             [Disk(d, arena=ram) for d in range(D)],
             [Disk(d, arena=mm) for d in range(D)],
         )
@@ -130,7 +131,7 @@ def test_batch_scatter_gather_matches_dict_writes(addrs, payload):
     disks = np.asarray([a for a, _ in addrs], dtype=np.int64)
     tracks = np.asarray([t for _, t in addrs], dtype=np.int64)
 
-    ref = [Disk(d) for d in range(D)]
+    ref = [DictDisk(d) for d in range(D)]
     for (d, t), i in zip(addrs, range(n)):
         ref[d].write(t, rows[i].tobytes())
 

@@ -5,53 +5,61 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pdm.arena import TrackArena
 from repro.pdm.block import pack_blocks, unpack_blocks
 from repro.pdm.disk import Disk
 from repro.pdm.disk_array import DiskArray, IOOp
 from repro.util.validation import SimulationError
+from tests.pdm.dict_disk import DictDisk
 
 
 def blk(byte: int, B: int = 4) -> bytes:
     return bytes([byte]) * (B * 8)
 
 
+def both_disks():
+    """An arena-backed disk and the dict model it must behave like."""
+    return Disk(0, TrackArena(1, 8)), DictDisk(0)
+
+
 class TestDisk:
     def test_write_read_roundtrip(self):
-        d = Disk(0)
-        d.write(3, b"abc")
-        assert d.read(3) == b"abc"
+        for d in both_disks():
+            d.write(3, b"abc")
+            assert d.read(3) == b"abc"
 
     def test_read_unwritten_track_is_error(self):
-        d = Disk(0)
-        with pytest.raises(SimulationError, match="unwritten track"):
-            d.read(7)
+        for d in both_disks():
+            with pytest.raises(SimulationError, match="unwritten track"):
+                d.read(7)
 
     def test_negative_track_rejected(self):
-        with pytest.raises(SimulationError):
-            Disk(0).write(-1, b"x")
+        for d in both_disks():
+            with pytest.raises(SimulationError):
+                d.write(-1, b"x")
 
     def test_counters(self):
-        d = Disk(0)
-        d.write(0, b"a")
-        d.write(1, b"b")
-        d.read(0)
-        assert d.blocks_written == 2
-        assert d.blocks_read == 1
-        assert d.tracks_in_use == 2
+        for d in both_disks():
+            d.write(0, b"a")
+            d.write(1, b"b")
+            d.read(0)
+            assert d.blocks_written == 2
+            assert d.blocks_read == 1
+            assert d.tracks_in_use == 2
 
     def test_free_releases_track(self):
-        d = Disk(0)
-        d.write(0, b"a")
-        d.free(0)
-        assert d.tracks_in_use == 0
-        with pytest.raises(SimulationError):
-            d.read(0)
+        for d in both_disks():
+            d.write(0, b"a")
+            d.free(0)
+            assert d.tracks_in_use == 0
+            with pytest.raises(SimulationError):
+                d.read(0)
 
     def test_max_track(self):
-        d = Disk(0)
-        assert d.max_track() == -1
-        d.write(9, b"x")
-        assert d.max_track() == 9
+        for d in both_disks():
+            assert d.max_track() == -1
+            d.write(9, b"x")
+            assert d.max_track() == 9
 
 
 class TestParallelIORule:

@@ -1,17 +1,18 @@
-"""The vectorized fast path's building blocks, proved against the
-reference machinery.
+"""The batched I/O path's building blocks, proved against the per-op
+machinery.
 
-The fast path (:mod:`repro.pdm.fastpath`, :mod:`repro.pdm.arena`, the
+The bulk path (:mod:`repro.pdm.fastpath`, :mod:`repro.pdm.arena`, the
 ``write_stream``/``read_run`` bulk APIs) is an *implementation* of the
 same PDM, not a looser variant: every observable — batch widths, IOStats,
 per-disk counters, stored bytes, raised errors — must be bit-identical to
-the per-block reference loop.  The hypothesis suites here drive both
-implementations with the same arbitrary placement streams and compare
-everything observable.
+the per-block ``parallel_io`` loop (``write_blocks``/``read_blocks``).
+The hypothesis suites here drive both with the same arbitrary placement
+streams and compare everything observable.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -19,28 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pdm import fastpath
 from repro.pdm.arena import PAGE_ROWS, TrackArena
 from repro.pdm.block import blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, greedy_batch_widths
 from repro.pdm.fastpath import BlockRun, BufferPool
-from repro.tune.knobs import KnobError
+from repro.tune.knobs import (
+    DEFAULT_SHM_THRESHOLD,
+    KNOB_BY_NAME,
+    KnobError,
+    read_knob,
+    set_env,
+)
+from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError
-
-
-@pytest.fixture(autouse=True)
-def _restore_fastpath_env():
-    was = fastpath.enabled()
-    yield
-    fastpath.set_enabled(was)
-
-
-def _make_array(D: int, B: int, fast: bool) -> DiskArray:
-    fastpath.set_enabled(fast)
-    arr = DiskArray(D=D, B=B)
-    assert (arr._arena is not None) == fast
-    return arr
 
 
 # ------------------------------------------------------------------ BlockRun
@@ -216,7 +209,7 @@ class TestTrackArena:
         assert b.tracks_in_use(0) == 1
 
 
-# ------------------------------------------- DiskArray fast/reference identity
+# ---------------------------------------------- DiskArray bulk/per-op identity
 
 
 def _segment_stream(draw):
@@ -255,8 +248,8 @@ def test_write_stream_matches_write_blocks(stream):
     disks = np.asarray([d for d, _ in addrs], dtype=np.int64)
     tracks = np.asarray([t for _, t in addrs], dtype=np.int64)
 
-    fast = _make_array(D, B, fast=True)
-    ref = _make_array(D, B, fast=False)
+    fast = DiskArray(D=D, B=B)
+    ref = DiskArray(D=D, B=B)
     ops_fast = fast.write_run(disks, tracks, run)
     ops_ref = ref.write_blocks(list(zip(disks.tolist(), tracks.tolist(), run.to_blocks())))
 
@@ -281,8 +274,8 @@ def test_write_stream_matches_write_blocks(stream):
 
 
 def test_read_run_unwritten_track_raises_canonical_error():
-    fast = _make_array(2, 1, fast=True)
-    ref = _make_array(2, 1, fast=False)
+    fast = DiskArray(D=2, B=1)
+    ref = DiskArray(D=2, B=1)
     with pytest.raises(SimulationError) as e_fast:
         fast.read_run(np.asarray([0]), np.asarray([3]))
     with pytest.raises(SimulationError) as e_ref:
@@ -292,53 +285,58 @@ def test_read_run_unwritten_track_raises_canonical_error():
 
 def test_write_stream_rejects_bad_addresses_both_paths():
     run = BlockRun(b"\x00" * ITEM_BYTES, 1, ITEM_BYTES)
-    for fast in (True, False):
-        arr = _make_array(2, 1, fast=fast)
+    arr = DiskArray(D=2, B=1)
+    for disk, track in ((5, 0), (0, -1)):
         with pytest.raises(SimulationError):
-            arr.write_run(np.asarray([5]), np.asarray([0]), run)
+            arr.write_run(np.asarray([disk]), np.asarray([track]), run)
         with pytest.raises(SimulationError):
-            arr.write_run(np.asarray([0]), np.asarray([-1]), run)
+            arr.write_blocks([(disk, track, run.to_blocks()[0])])
 
 
 def test_snapshot_restore_portable_across_storage_modes():
-    """A checkpoint taken in one storage mode restores into the other."""
-    fast = _make_array(2, 1, fast=True)
-    run = BlockRun(b"12345678" * 3, 3, ITEM_BYTES)
-    fast.write_run(np.asarray([0, 1, 0]), np.asarray([0, 0, 1]), run)
-    snap = {d: fast.disks[d].snapshot_tracks() for d in range(2)}
-
-    ref = _make_array(2, 1, fast=False)
-    for d in range(2):
-        ref.disks[d].restore_tracks(snap[d])
-    assert ref.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
+    """A checkpoint taken on one arena backend restores into the other."""
+    ram = DiskArray(D=2, B=1, runtime=RuntimeConfig(arena="ram"))
+    mm = DiskArray(D=2, B=1, runtime=RuntimeConfig(arena="mmap"))
+    try:
+        run = BlockRun(b"12345678" * 3, 3, ITEM_BYTES)
+        ram.write_run(np.asarray([0, 1, 0]), np.asarray([0, 0, 1]), run)
+        for d in range(2):
+            mm.disks[d].restore_tracks(ram.disks[d].snapshot_tracks())
+        assert mm.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
+    finally:
+        mm.close()
 
 
 # ------------------------------------------------------------------ env knobs
 
 
 def test_fastpath_env_flag(monkeypatch):
+    """The batched path is the only engine path: ``REPRO_FASTPATH`` is no
+    knob, by field name or by variable, and a stale setting of it leaves
+    the storage and the runtime snapshot as they are."""
+    assert "fastpath" not in KNOB_BY_NAME
+    with pytest.raises(KnobError, match="unknown knob"):
+        read_knob("REPRO_FASTPATH")
+    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
+        set_env("REPRO_FASTPATH", "0")
     monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert not fastpath.enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "off")
-    assert not fastpath.enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert fastpath.enabled()
-    monkeypatch.delenv("REPRO_FASTPATH")
-    assert fastpath.enabled()  # default on
+    assert current() == RuntimeConfig.resolve(
+        environ={k: v for k, v in os.environ.items() if k != "REPRO_FASTPATH"}
+    )
+    arr = DiskArray(D=2, B=1)
+    arr.write_run(np.asarray([0, 1]), np.asarray([0, 0]), BlockRun(b"x" * 16, 2, 8))
+    assert arr.stats.parallel_ios == 1
+    assert arr.disks[1].snapshot_tracks() == {0: b"x" * 8}
 
 
 def test_shm_threshold_knob(monkeypatch):
     monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert fastpath.shm_threshold() == fastpath.DEFAULT_SHM_THRESHOLD
+    assert current().shm_bytes == DEFAULT_SHM_THRESHOLD
     monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
-    assert fastpath.shm_threshold() == 4096
+    assert current().shm_bytes == 4096
     monkeypatch.setenv("REPRO_SHM_BYTES", "0")
-    assert fastpath.shm_threshold() is None
+    assert current().shm_bytes is None
     # malformed values are a hard, named error now (not a silent default)
     monkeypatch.setenv("REPRO_SHM_BYTES", "nonsense")
     with pytest.raises(KnobError, match="REPRO_SHM_BYTES"):
-        fastpath.shm_threshold()
-    monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert fastpath.shm_threshold() is None
+        current()

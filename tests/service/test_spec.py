@@ -57,12 +57,17 @@ class TestValidation:
         errs = validate_spec({**GOOD, "config": {"spill_dir": "/tmp/x"}})
         assert any("config.spill_dir" in e for e in errs)
 
+    def test_config_retired_fastpath_knob_rejected(self):
+        errs = validate_spec({**GOOD, "config": {"fastpath": "on"}})
+        assert len(errs) == 1
+        assert errs[0].startswith("config.fastpath is not a settable knob")
+
     def test_config_malformed_value_named(self):
         errs = validate_spec({**GOOD, "config": {"prefetch": "maybe"}})
         assert any("config.prefetch" in e for e in errs)
 
     def test_config_allowlist_accepted(self):
-        config = {"fastpath": "off", "prefetch": "0"}
+        config = {"arena": "mmap", "prefetch": "0"}
         assert set(config) <= CONFIG_KNOBS
         assert validate_spec({**GOOD, "config": config}) == []
 
@@ -91,7 +96,7 @@ class TestValidation:
 
     def test_round_trip(self):
         spec = JobSpec.from_dict(
-            {**GOOD, "engine": "seq", "config": {"fastpath": "off"},
+            {**GOOD, "engine": "seq", "config": {"prefetch": "off"},
              "tenant": "t1", "priority": 3}
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -121,7 +126,7 @@ class TestFingerprint:
         # bit-identity-preserving knobs must share the cache entry
         base = JobSpec.from_dict(GOOD).fingerprint()
         tuned = JobSpec.from_dict(
-            {**GOOD, "config": {"fastpath": "off", "prefetch": "0"}}
+            {**GOOD, "config": {"arena": "mmap", "prefetch": "0"}}
         )
         assert tuned.fingerprint() == base
 

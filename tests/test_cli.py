@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.trace import read_jsonl
+from repro.tune.knobs import KNOBS
 
 
 class TestParser:
@@ -384,7 +385,11 @@ class TestTuneCommand:
     def test_list_knobs(self, capsys):
         assert main(["tune", "--list-knobs"]) == 0
         out = capsys.readouterr().out
-        assert "| Variable |" in out and "`REPRO_FASTPATH`" in out
+        assert "| Variable |" in out
+        rows = [line for line in out.splitlines() if line.startswith("| `REPRO_")]
+        assert [row.split("`")[1] for row in rows] == [s.env for s in KNOBS]
+        assert len(rows) == 11
+        assert "`REPRO_FASTPATH`" not in out
 
     def test_profile_fills_machine_args(self, tmp_path, capsys):
         path = self._tuned(tmp_path, capsys)
@@ -405,6 +410,20 @@ class TestTuneCommand:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_profile_with_retired_fastpath_knob_exits_3(self, tmp_path, capsys):
+        path = self._tuned(tmp_path, capsys)
+        doc = json.loads(open(path).read())
+        doc["config"]["fastpath"] = "on"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["sort", "--n", "2048", "--profile", path]) == 3
+        err = capsys.readouterr().err
+        # the invalid-profile diagnostic: an error line, then one line
+        # per problem
+        assert err.startswith("error: invalid tuned profile")
+        assert "config.fastpath is not a registered knob" in err
+        assert "Traceback" not in err
+
     def test_invalid_profile_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "something-else"}))
@@ -421,7 +440,7 @@ class TestKnobErrors:
         "var,raw",
         [
             ("REPRO_WORKERS", "two"),
-            ("REPRO_FASTPATH", "sometimes"),
+            ("REPRO_TRANSPORT", "carrier-pigeon"),
             ("REPRO_ARENA", "tape"),
             ("REPRO_PREFETCH", "maybe"),
             ("REPRO_SHM_BYTES", "nonsense"),
@@ -440,7 +459,7 @@ class TestKnobErrors:
         assert err.count("\n") == 1  # exactly one line
 
     def test_well_formed_knob_still_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FASTPATH", "auto:16")
+        monkeypatch.setenv("REPRO_PREFETCH", "0")
         assert main(self.BASE) == 0
         assert "sorted 2048 items: OK" in capsys.readouterr().out
 

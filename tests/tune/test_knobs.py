@@ -12,7 +12,6 @@ import pytest
 
 from repro.tune.knobs import (
     ARENA_KINDS,
-    DEFAULT_AUTO_BLOCKS,
     DEFAULT_SHM_THRESHOLD,
     KNOB_BY_ENV,
     KNOB_BY_NAME,
@@ -64,18 +63,6 @@ def test_bool_tokens():
         assert spec.coerce(raw) is True
     for raw in ("0", "false", "NO", "Off"):
         assert spec.coerce(raw) is False
-
-
-def test_fastpath_grammar():
-    spec = KNOB_BY_ENV["REPRO_FASTPATH"]
-    assert spec.coerce("1") == "on"
-    assert spec.coerce("off") == "off"
-    assert spec.coerce("AUTO") == "auto"
-    assert spec.coerce("auto:128") == "auto:128"
-    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        spec.coerce("auto:lots")
-    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        spec.coerce("auto:-1")
 
 
 def test_arena_kinds():
@@ -135,10 +122,6 @@ def test_render_knob_table_covers_every_knob():
     assert len(lines) == 2 + len(KNOBS)
     for spec in KNOBS:
         assert f"`{spec.env}`" in table
-
-
-def test_default_auto_blocks_is_positive():
-    assert DEFAULT_AUTO_BLOCKS > 0
 
 
 def test_readme_knob_table_matches_registry():

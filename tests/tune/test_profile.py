@@ -23,7 +23,7 @@ def _profile() -> TunedProfile:
     return TunedProfile(
         workload={"op": "sort", "n": 4096, "p": 1, "seed": 0},
         machine={"v": 4, "B": 512, "D": 4},
-        config={"workers": 0, "fastpath": "on", "arena": "ram",
+        config={"workers": 0, "arena": "ram",
                 "prefetch": True, "shm_bytes": 65536},
         rationale=["probe: ..."],
         search={"candidates": 27},
@@ -53,7 +53,7 @@ def test_save_and_load_roundtrip(tmp_path):
     _profile().save(path)
     doc = load_profile(path)
     assert validate_profile(doc) == []
-    assert config_from_profile(doc)["fastpath"] == "on"
+    assert config_from_profile(doc)["arena"] == "ram"
 
 
 def test_validate_rejects_non_object():
@@ -87,8 +87,16 @@ def test_validate_rejects_unknown_and_malformed_knobs():
     doc["config"]["bogus"] = 1
     assert any("config.bogus" in e for e in validate_profile(doc))
     doc = _profile().document()
-    doc["config"]["fastpath"] = "sideways"
-    assert any("config.fastpath" in e for e in validate_profile(doc))
+    doc["config"]["arena"] = "sideways"
+    assert any("config.arena" in e for e in validate_profile(doc))
+
+
+def test_validate_rejects_retired_fastpath_knob():
+    """A profile written before the per-block path was deleted still
+    names ``fastpath``; it is refused like any other unknown knob."""
+    doc = _profile().document()
+    doc["config"]["fastpath"] = "on"
+    assert validate_profile(doc) == ["config.fastpath is not a registered knob"]
 
 
 def test_validate_rejects_fingerprint_mismatch():
