@@ -48,6 +48,18 @@ class SampleSort(CGMProgram):
     def _keys(self, data: np.ndarray) -> np.ndarray:
         return data if data.ndim == 1 else data[:, self.key_column]
 
+    def _sorted(self, data: np.ndarray) -> np.ndarray:
+        """*data* in stable key order.
+
+        Equal bool/integer values are bit-identical, so an unstable value
+        sort of a 1-D array of those dtypes yields the stable order byte
+        for byte.  Rows, floats (±0.0, NaN payloads), strings and objects
+        keep the stable argsort.
+        """
+        if data.ndim == 1 and data.dtype.kind in "biu":
+            return np.sort(data)
+        return data[np.argsort(self._keys(data), kind="stable")]
+
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         data = np.asarray(local_input)
         ctx["pid"] = pid
@@ -63,18 +75,16 @@ class SampleSort(CGMProgram):
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:
         pid, v = ctx["pid"], env.v
         if r == 0:
-            data = ctx["data"]
-            keys = self._keys(data)
-            order = np.argsort(keys, kind="stable")
-            data = data[order]
+            data = self._sorted(ctx["data"])
             ctx["data"] = data
+            keys = self._keys(data)
             n = keys.size
             if n:
                 # v regular samples: elements at ranks floor(k*n/v), k=0..v-1
                 idx = (np.arange(v, dtype=np.int64) * n) // v
-                samples = self._keys(data)[idx]
+                samples = keys[idx]
             else:
-                samples = self._keys(data)[:0]
+                samples = keys[:0]
             env.send(0, samples, tag="samples")
             return False
 
@@ -111,9 +121,7 @@ class SampleSort(CGMProgram):
 
         runs = [m.payload for m in env.messages(tag="bucket")]
         if runs:
-            merged = np.concatenate(runs)
-            order = np.argsort(self._keys(merged), kind="stable")
-            merged = merged[order]
+            merged = self._sorted(np.concatenate(runs))
         else:
             merged = ctx["data"][:0]
         ctx["sorted"] = merged

@@ -66,7 +66,6 @@ class NodeServer:
         self._srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._srv.bind((host, port))
         self._srv.listen(4)
-        self._srv.settimeout(0.5)
         self.port = self._srv.getsockname()[1]
         self.stop_event = threading.Event()
         self.sessions = 0
@@ -88,9 +87,21 @@ class NodeServer:
         self._thread.start()
         return self
 
-    def shutdown(self) -> None:
+    def stop(self) -> None:
+        """Stop accepting and abort every live session.
+
+        Shutting the listening socket down wakes a blocked ``accept()`` at
+        once, so the accept loop needs no poll timeout.
+        """
         self.stop_event.set()
+        try:
+            self._srv.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self.kill_session()
+
+    def shutdown(self) -> None:
+        self.stop()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -120,8 +131,6 @@ class NodeServer:
             while not self.stop_event.is_set():
                 try:
                     conn, addr = self._srv.accept()
-                except socket.timeout:
-                    continue
                 except OSError:
                     break
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -249,8 +258,7 @@ def serve_node(host: str = "127.0.0.1", port: int = 0) -> int:
     server = NodeServer(host, port)
 
     def _stop(signum, frame) -> None:
-        server.stop_event.set()
-        server.kill_session()
+        server.stop()
 
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, _stop)

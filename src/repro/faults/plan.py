@@ -6,12 +6,20 @@ layer should suffer during a run — transient read/write failures, torn
 used to recover from transients.  Plans are deterministic by construction:
 
 * probabilistic faults draw from a seeded RNG that is derived **per real
-  processor** (``SeedSequence([seed, real])``), so the fault sequence a
-  given disk array experiences does not depend on how the real processors
-  are partitioned over worker processes;
+  processor** (``SeedSequence([seed, real])``) and consumed in the order
+  that real's disk array services its accesses;
 * scheduled faults name an exact ``(real, op, disk)`` coordinate, where
   ``op`` is the per-array parallel-I/O index;
 * disk deaths name ``(real, disk, after_op)``.
+
+Logical :class:`~repro.pdm.io_stats.IOStats` and outputs never depend
+on the plan, the engine or the worker partitioning.  The physical
+``FaultStats`` are reproducible for a given access order, which the
+in-process engines fix.  The process backend stages a real's remote
+bundles at exchange time, so its access order, and with it the faults
+drawn, can differ: the dead-disk + torn-write plan of the fault-parity
+fixture (``tests/faults/test_fault_parity.py``) costs 16 retries
+in-process and 17 under ``REPRO_WORKERS=2``.
 
 Plans round-trip through JSON (``--faults PLAN.json`` on the CLI, or the
 ``REPRO_FAULTS`` environment variable for whole-suite injection in CI).
@@ -197,9 +205,11 @@ class FaultPlan:
     def injector_for(self, real: int):
         """The per-real-processor injector this plan prescribes.
 
-        Deterministic in *real* alone: worker partitioning, engine kind and
-        execution order of the other reals never change the fault sequence
-        one array sees.
+        Its draws depend on *real* and on the order in which that real's
+        array services its accesses, not on the other reals.  That order
+        is fixed for the in-process engines; the process backend may
+        reorder it (see the module docstring), which moves ``FaultStats``
+        but never the logical ``IOStats`` or the outputs.
         """
         from repro.faults.injector import FaultInjector
 

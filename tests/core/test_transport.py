@@ -4,8 +4,13 @@ validation, and logical bit-identity across memory / shm / tcp."""
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +170,37 @@ def node_pair():
     yield servers
     for s in servers:
         s.shutdown()
+
+
+class TestShutdown:
+    def test_idle_node_shuts_down_promptly(self):
+        server = NodeServer().start_thread()
+        thread = server._thread
+        time.sleep(0.05)  # let the accept loop block
+        t0 = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - t0 < 0.1
+        assert not thread.is_alive()
+
+    def test_sigterm_exits_zero_promptly(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "node", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            time.sleep(0.05)  # let the accept loop block
+            t0 = time.perf_counter()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            elapsed = time.perf_counter() - t0
+        finally:
+            proc.kill()
+            proc.wait()
+        assert "clean shutdown" in proc.stdout.read()
+        assert elapsed < 0.3
 
 
 def session_doc() -> dict:
